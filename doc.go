@@ -39,8 +39,10 @@
 // immutable snapshot through an atomic pointer. Hot read handlers
 // write those bytes straight to the wire with zero allocations and
 // answer conditional GETs with 304s via a generation-derived ETag,
-// while digg.Platform's generation and per-story version counters let
-// each publication re-encode only what changed. Readers therefore
+// while the store's generation counter and change log
+// (digg.Store.ChangedSince) let each publication re-encode only the
+// stories that changed and share everything else with the previous
+// snapshot. Readers therefore
 // never wait behind the simulation writer: the shared RWMutex guards
 // only writes, snapshot rebuilds and the point-in-time fallback paths
 // (see internal/httpapi's package documentation for the architecture).
@@ -173,10 +175,8 @@
 // v1 client's Stream wraps into transparent reconnect-and-resume. See
 // docs/load.md.
 //
-// See README.md for the package map, DESIGN.md for the system inventory
-// and per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate one experiment
-// per paper artifact; run them with:
+// The benchmarks in bench_test.go regenerate one experiment per paper
+// artifact; run them with:
 //
 //	go test -bench=. -benchmem
 package diggsim

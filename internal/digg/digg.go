@@ -134,9 +134,12 @@ type Platform struct {
 	gen uint64
 	// storyVer holds a per-story version counter parallel to stories:
 	// 1 at submission, +1 per vote (a promotion rides on the vote that
-	// caused it). Snapshot builders re-encode only stories whose
-	// version moved since the last publication.
+	// caused it).
 	storyVer []uint32
+	// changes records every version bump by generation, so snapshot
+	// builders re-encode only the stories that moved since their last
+	// publication (ChangedSince).
+	changes ChangeLog
 	// promotedBySubmitter counts front-page stories per user, the basis
 	// of the reputation ("top users") ranking.
 	promotedBySubmitter map[UserID]int
@@ -294,6 +297,7 @@ func (p *Platform) Submit(u UserID, title string, interest float64, t Minutes) (
 	p.stories = append(p.stories, s)
 	p.storyVer = append(p.storyVer, 1)
 	p.gen++
+	p.changes.Record(p.gen, s.ID)
 	voted := p.acquireSet()
 	voted.Add(int(u))
 	p.voted = append(p.voted, voted)
@@ -327,6 +331,7 @@ func (p *Platform) InstallStory(s *Story) error {
 	p.stories = append(p.stories, s)
 	p.storyVer = append(p.storyVer, 1)
 	p.gen++
+	p.changes.Record(p.gen, s.ID)
 	p.voted = append(p.voted, nil)
 	p.visible = append(p.visible, nil)
 	if s.Promoted {
@@ -374,6 +379,7 @@ func (p *Platform) Digg(id StoryID, u UserID, t Minutes) (DiggResult, error) {
 	s.Votes = append(s.Votes, Vote{Voter: u, At: t, InNetwork: inNet})
 	p.storyVer[i]++
 	p.gen++
+	p.changes.Record(p.gen, id)
 	p.voted[i].Add(int(u))
 	for _, fan := range p.Graph.Fans(u) {
 		p.visible[i].Add(int(fan))
@@ -488,6 +494,7 @@ func (p *Platform) TrimStories(keep int) int {
 		p.invalidateRanks()
 	}
 	p.gen++
+	p.changes.Reset(p.gen) // the log cannot express removed stories
 	return n - keep
 }
 

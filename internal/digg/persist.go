@@ -345,5 +345,6 @@ func RestorePlatform(g *graph.Graph, policy PromotionPolicy, data []byte) (*Plat
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after platform state", ErrBadEncoding, len(d.b))
 	}
+	p.changes.Reset(p.gen) // history before the checkpoint is not known
 	return p, nil
 }

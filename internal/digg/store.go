@@ -28,6 +28,14 @@ type Store interface {
 	// StoryVersion returns the story's version counter (1 at
 	// submission, +1 per vote), or 0 if it does not exist.
 	StoryVersion(id StoryID) uint32
+	// ChangedSince appends to dst the IDs of stories whose version
+	// moved after generation gen — submitted, installed or voted on —
+	// possibly with repeats and in no particular order. It reports
+	// false when the store no longer remembers that far back (its
+	// change log is bounded, and restores and trims reset it); the
+	// caller must then treat every story as changed. gen must be a
+	// generation this store reported earlier.
+	ChangedSince(gen uint64, dst []StoryID) ([]StoryID, bool)
 	// Story returns the story with the given id.
 	Story(id StoryID) (*Story, error)
 	// Stories returns all stories in submission order. The slice is

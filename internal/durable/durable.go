@@ -446,6 +446,9 @@ func (s *Store) SocialGraph() *graph.Graph                  { return s.p.SocialG
 func (s *Store) Upcoming(now digg.Minutes, limit int) []*digg.Story {
 	return s.p.Upcoming(now, limit)
 }
+func (s *Store) ChangedSince(gen uint64, dst []digg.StoryID) ([]digg.StoryID, bool) {
+	return s.p.ChangedSince(gen, dst)
+}
 
 // --- commands: WAL append first, then delegate ---
 

@@ -30,7 +30,7 @@ var (
 	histSnapshotRebuild = obs.Default.Histogram("diggsim_snapshot_rebuild_seconds", "",
 		"Read-view rebuild latency per republish, including re-encoding changed stories.")
 	ctrStoriesEncoded = obs.Default.Counter("diggsim_snapshot_stories_encoded_total",
-		"Story summaries re-encoded across snapshot rebuilds (cache misses; unchanged stories are reused).")
+		"Story summaries encoded across snapshot rebuilds: only stories changed or added since the previous view, all of them on a full build.")
 	gaugeViewGen = obs.Default.Gauge("diggsim_snapshot_view_generation",
 		"Store generation of the currently published read view.")
 )

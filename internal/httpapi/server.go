@@ -259,13 +259,16 @@ func writeRaw(w http.ResponseWriter, chunks ...[]byte) {
 	}
 }
 
+// pathID parses the {id} path segment. Story and user IDs are int32
+// (digg.StoryID, graph.NodeID), so anything outside [0, MaxInt32] is
+// malformed rather than silently truncated onto another ID.
 func pathID(r *http.Request) (int, error) {
 	raw := r.PathValue("id")
-	v, err := strconv.Atoi(raw)
+	v, err := strconv.ParseInt(raw, 10, 32)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("invalid id %q", raw)
 	}
-	return v, nil
+	return int(v), nil
 }
 
 func (s *Server) handleFrontPage(w http.ResponseWriter, r *http.Request) {
@@ -277,7 +280,7 @@ func (s *Server) handleFrontPage(w http.ResponseWriter, r *http.Request) {
 	view := s.snap.view.Load()
 	rendered := 0
 	if view != nil {
-		rendered = len(view.fpEnds)
+		rendered = len(view.front)
 	}
 	if view == nil || (view.fpTotal > rendered && (limit <= 0 || limit > rendered)) {
 		s.frontPageLocked(w, limit)
@@ -290,14 +293,22 @@ func (s *Server) handleFrontPage(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	if limit <= 0 || limit >= rendered {
-		_, _ = w.Write(view.fpBuf)
-		return
+	front := view.front
+	if limit > 0 && limit < rendered {
+		front = front[:limit]
 	}
-	_, _ = w.Write(view.fpBuf[:view.fpEnds[limit-1]])
-	_, _ = w.Write(bracketClose)
+	writeEntries(w, front)
+}
+
+// writeEntries sends entries as a JSON array, assembled in a pooled
+// buffer so the response is one write and no allocation.
+func writeEntries(w http.ResponseWriter, entries []*sumEntry) {
+	bp := encBufPool.Get().(*[]byte)
+	b := append((*bp)[:0], '[')
+	b = append(appendEntries(b, entries), ']')
+	writeRaw(w, b)
+	*bp = b[:0]
+	encBufPool.Put(bp)
 }
 
 // frontPageLocked is the point-in-time fallback for limits past the
@@ -328,10 +339,10 @@ func (s *Server) handleUpcoming(w http.ResponseWriter, r *http.Request) {
 	// The visibility filter runs at serve time: pre-rendered entries
 	// submitted after the current clock are skipped, so a static
 	// server's queue evolves with wall time without republication.
-	entries := view.upEntries
+	entries := view.upcoming
 	visible := 0
-	for i := range entries {
-		if entries[i].submittedAt <= int64(now) {
+	for _, e := range entries {
+		if e.submittedAt <= int64(now) {
 			visible++
 		}
 	}
@@ -358,32 +369,29 @@ func (s *Server) handleUpcoming(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	if !skipped && serveN >= len(entries) {
-		_, _ = w.Write(view.upBuf)
+	if !skipped {
+		writeEntries(w, entries[:serveN])
 		return
 	}
-	if serveN == 0 {
-		_, _ = w.Write(emptyArray)
-		return
-	}
-	_, _ = w.Write(bracketOpen)
+	bp := encBufPool.Get().(*[]byte)
+	b := append((*bp)[:0], '[')
 	written := 0
-	for i := range entries {
-		if entries[i].submittedAt > int64(now) {
-			continue
-		}
-		if written > 0 {
-			_, _ = w.Write(commaSep)
-		}
-		_, _ = w.Write(view.upBuf[entries[i].start:entries[i].end])
-		written++
+	for _, e := range entries {
 		if written >= serveN {
 			break
 		}
+		if e.submittedAt > int64(now) {
+			continue
+		}
+		if written > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e.buf...)
+		written++
 	}
-	_, _ = w.Write(bracketClose)
+	writeRaw(w, append(b, ']'))
+	*bp = b[:0]
+	encBufPool.Put(bp)
 }
 
 func (s *Server) upcomingLocked(w http.ResponseWriter, now digg.Minutes, limit int) {
@@ -430,7 +438,7 @@ func (s *Server) handleStoryList(w http.ResponseWriter, r *http.Request) {
 // published view, so total and stories always describe the same
 // generation.
 func (s *Server) storyListFromView(w http.ResponseWriter, view *ReadView, offset, limit int) {
-	total := len(view.summaries)
+	total := view.stories.n
 	bp := encBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	b = append(b, `{"total":`...)
@@ -448,7 +456,7 @@ func (s *Server) storyListFromView(w http.ResponseWriter, view *ReadView, offset
 			if i > offset {
 				b = append(b, ',')
 			}
-			b = append(b, view.summaries[i]...)
+			b = append(b, view.stories.get(i).buf...)
 		}
 		b = append(b, ']')
 	} else {
@@ -511,33 +519,36 @@ func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 	s.storyLocked(w, digg.StoryID(id))
 }
 
-// storyDetailBytes serves a story's detail JSON from the per-(story,
-// version) cache, encoding and caching on miss. ok reports whether the
+// storyDetailBytes serves a story's detail JSON from the cache in the
+// story's published entry, encoding on miss. ok reports whether the
 // snapshot path could answer; when false (no view yet, or a story
-// newer than the slab) the caller should use its locked fallback.
-func (s *Server) storyDetailBytes(id digg.StoryID) (buf []byte, ok bool, err error) {
+// newer than the view) the caller should use its locked fallback.
+func (s *Server) storyDetailBytes(id digg.StoryID) (_ []byte, ok bool, err error) {
 	view := s.snap.view.Load()
-	slab := s.snap.details.Load()
-	if view == nil || slab == nil || int(id) >= len(view.storyVer) || int(id) >= len(slab.slots) {
+	if view == nil || int(id) >= view.stories.n {
 		return nil, false, nil
 	}
-	slot := slab.slots[id]
-	if e := slot.Load(); e != nil && e.ver == view.storyVer[id] {
-		return e.buf, true, nil
+	e := view.stories.get(int(id))
+	if d := e.detail.Load(); d != nil {
+		return *d, true, nil
 	}
-	// Miss: encode once under the read lock at the current version and
-	// cache for every later request of this (story, version).
+	// Miss: encode under the read lock at the store's current version.
+	// Only an encoding of the entry's own version is cached in it; a
+	// newer one (a write the view has not caught up with) is served
+	// once and left to the entry the next publication creates.
 	s.mu.RLock()
 	st, err := s.store.Story(id)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, false, err
 	}
-	ver := s.store.StoryVersion(st.ID)
-	buf = appendDetail(make([]byte, 0, 128+28*len(st.Votes)), st)
+	current := s.store.StoryVersion(st.ID) == e.ver
+	enc := appendDetail(make([]byte, 0, 128+28*len(st.Votes)), st)
 	s.mu.RUnlock()
-	slot.Store(&detailEntry{ver: ver, buf: buf})
-	return buf, true, nil
+	if current {
+		e.detail.Store(&enc)
+	}
+	return enc, true, nil
 }
 
 func (s *Server) storyLocked(w http.ResponseWriter, id digg.StoryID) {

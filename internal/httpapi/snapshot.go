@@ -1,23 +1,41 @@
 package httpapi
 
 // snapshot.go implements the lock-free read path. The write side
-// (handleSubmit/handleDigg, the live service's tick hook, Handler at
-// startup) calls Server.republish, which rebuilds an immutable
-// ReadView under the platform read lock and publishes it through an
+// (handleSubmit/handleDigg, the live service's tick hook, the
+// replication follower's apply hook, Handler at startup) calls
+// Server.republish, which derives a new immutable ReadView from the
+// previous one under the store read lock and publishes it through an
 // atomic.Pointer. Hot read handlers load the pointer and write
-// pre-serialized JSON bytes straight to the response — no platform
-// lock, no StorySummary allocation, no encoding/json reflection.
+// pre-serialized JSON bytes straight to the response — no store lock,
+// no StorySummary allocation, no encoding/json reflection.
 //
-// Rebuilds are incremental: the store caches each story's encoded
-// summary keyed by its digg.Platform version counter, so a publication
-// re-encodes only stories that changed since the last one. Story
-// details (vote lists) are encoded lazily on first request and cached
-// per (story, version) in a slab of atomic pointers, so repeated
-// scrapes of an unchanged story are served from bytes.
+// A republish costs in proportion to what changed, not to the number
+// of stories:
+//
+//   - Each story's encoded summary lives in an immutable entry keyed by
+//     the story's version. The entries sit in a persistent vector (a
+//     radix trie of fixed-width nodes, see storyVec) that successive
+//     views share: a rebuild copies only the leaves holding a changed
+//     story and the inner nodes above them.
+//   - The store reports which stories changed since the previous
+//     view's generation (digg.Store.ChangedSince), so the rebuild never
+//     scans all stories. When the store's bounded change log no longer
+//     reaches back that far, the rebuild treats every story as changed:
+//     the same code that runs the first publication.
+//   - The front-page and upcoming windows are bounded lists of pointers
+//     to the shared entries, and the top-user rendering is carried over
+//     while the store's rank map is unchanged.
+//
+// Story details (vote lists) are encoded lazily on first request and
+// cached in the story's entry, so repeated scrapes of an unchanged
+// story are served from bytes and a vote drops the cache with the old
+// entry.
 
 import (
 	"fmt"
 	"net/url"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,22 +53,130 @@ const (
 	maxRenderTop   = 1024 // top-user ids per snapshot
 )
 
-// queueEntry locates one story's pre-encoded summary inside a queue
-// buffer. submittedAt lets the upcoming handler apply the
-// clock-dependent visibility filter at serve time, so a static
-// server's queue stays correct as wall time advances without
-// republishing; id is the boundary key v1 upcoming cursors resume
-// from.
-type queueEntry struct {
-	start, end  int
-	submittedAt int64
+// sumEntry is one story's published summary at one version. The
+// fields never change once the entry is published, and every view
+// shares the entry until the story changes. submittedAt lets the
+// upcoming handlers apply the clock-dependent visibility filter at
+// serve time, so a static server's queue stays correct as wall time
+// advances without republishing; id is the boundary key v1 upcoming
+// cursors resume from.
+type sumEntry struct {
+	ver         uint32
 	id          digg.StoryID
+	submittedAt int64
+	buf         []byte // StorySummary JSON
+	// detail caches the story's StoryDetail JSON at ver, filled by the
+	// first read that needs it.
+	detail atomic.Pointer[[]byte]
+}
+
+func newEntry(s *digg.Story, ver uint32) *sumEntry {
+	return &sumEntry{
+		ver:         ver,
+		id:          s.ID,
+		submittedAt: int64(s.SubmittedAt),
+		buf:         appendSummary(make([]byte, 0, 96+len(s.Title)), s),
+	}
+}
+
+// storyVec geometry: every node has vecWidth slots.
+const (
+	vecBits  = 6
+	vecWidth = 1 << vecBits
+	vecMask  = vecWidth - 1
+)
+
+// vecLeaf holds the entries of vecWidth consecutive stories.
+type vecLeaf [vecWidth]*sumEntry
+
+// vecInner is an inner trie node. Nodes one level above the leaves
+// use leaves; higher nodes use kids.
+type vecInner struct {
+	kids   [vecWidth]*vecInner
+	leaves [vecWidth]*vecLeaf
+}
+
+// storyVec is a persistent vector of summary entries indexed by story
+// ID. Nodes are never modified once published; with returns a new
+// vector that shares every node no update touches.
+type storyVec struct {
+	root   *vecInner
+	height int // inner levels; 1 means root.leaves holds the leaves
+	n      int
+}
+
+// capacity returns how many entries a trie of the given height holds.
+func capacity(height int) int { return 1 << (vecBits * (height + 1)) }
+
+// get returns entry i (0 <= i < n).
+func (v *storyVec) get(i int) *sumEntry {
+	node := v.root
+	for h := v.height; h > 1; h-- {
+		node = node.kids[(i>>(vecBits*h))&vecMask]
+	}
+	return node.leaves[(i>>vecBits)&vecMask][i&vecMask]
+}
+
+// vecUpdate sets entry i to e.
+type vecUpdate struct {
+	i int
+	e *sumEntry
+}
+
+// with returns a vector of length n (n >= v.n) carrying ups, which
+// must be sorted by index and cover every index in [v.n, n). Only the
+// nodes on the paths to updated entries are copied.
+func (v storyVec) with(n int, ups []vecUpdate) storyVec {
+	out := storyVec{root: v.root, height: max(v.height, 1), n: n}
+	for capacity(out.height) < n {
+		if out.root != nil {
+			out.root = &vecInner{kids: [vecWidth]*vecInner{out.root}}
+		}
+		out.height++
+	}
+	if len(ups) > 0 {
+		out.root = updateInner(out.root, out.height, 0, ups)
+	}
+	return out
+}
+
+// updateInner returns a copy of node (nil: an empty node) covering
+// indices from base, with ups applied.
+func updateInner(node *vecInner, height, base int, ups []vecUpdate) *vecInner {
+	nn := new(vecInner)
+	if node != nil {
+		*nn = *node
+	}
+	shift := vecBits * height // each child covers 1<<shift indices
+	for len(ups) > 0 {
+		slot := (ups[0].i - base) >> shift
+		childBase := base + slot<<shift
+		j := 1
+		for j < len(ups) && ups[j].i < childBase+1<<shift {
+			j++
+		}
+		if height == 1 {
+			leaf := new(vecLeaf)
+			if old := nn.leaves[slot]; old != nil {
+				*leaf = *old
+			}
+			for _, u := range ups[:j] {
+				leaf[u.i-childBase] = u.e
+			}
+			nn.leaves[slot] = leaf
+		} else {
+			nn.kids[slot] = updateInner(nn.kids[slot], height-1, childBase, ups[:j])
+		}
+		ups = ups[j:]
+	}
+	return nn
 }
 
 // ReadView is one immutable published snapshot of everything the hot
-// read endpoints serve. All byte slices are written once at build time
-// and never mutated, so any number of handlers may serve from a view
-// while newer views are published behind them.
+// read endpoints serve. Nothing reachable from a view is mutated after
+// publication (apart from the entries' lazily filled detail caches),
+// so any number of handlers may serve from a view while newer views
+// are published behind them.
 type ReadView struct {
 	// Gen is the store generation this view was built at (against a
 	// sharded store, the composite generation: the shard-vector sum).
@@ -59,20 +185,17 @@ type ReadView struct {
 	// for an unsharded store). Cursors minted from this view embed it.
 	ShardGens []uint64
 
-	fpBuf   []byte // "[{...},...]" promoted stories, newest first
-	fpEnds  []int  // fpEnds[i] = offset just past entry i (no ']')
-	fpTotal int    // promoted stories on the whole platform
+	stories storyVec // per-story summary entries, indexed by StoryID
 
-	upBuf     []byte // unpromoted stories, newest first
-	upEntries []queueEntry
-	upTotal   int // unpromoted stories on the whole platform
+	front   []*sumEntry // promoted stories, newest promotion first
+	fpTotal int         // promoted stories on the whole platform
 
-	summaries [][]byte // per-story summary JSON, indexed by StoryID
-	storyVer  []uint32 // per-story version at publication
+	upcoming []*sumEntry // unpromoted stories, newest first
+	upTotal  int         // unpromoted stories on the whole platform
 
 	topBuf   []byte // "[id,id,...]" ranked users, best first
-	topEnds  []int
-	topTotal int // users with promoted submissions
+	topEnds  []int  // topEnds[i] = offset just past user i (no ']')
+	topTotal int    // users with promoted submissions
 
 	// ranks is the platform's promoted-submission ranking map, shared
 	// immutably (digg replaces it on invalidation, never mutates it).
@@ -82,32 +205,13 @@ type ReadView struct {
 	etag    []string // ready-to-assign header value {etagStr}
 }
 
-// cachedSummary is the cross-publication summary encoding cache entry.
-type cachedSummary struct {
-	ver uint32
-	buf []byte
-}
-
-// detailEntry is one lazily encoded story detail (summary + vote
-// list) at a given story version.
-type detailEntry struct {
-	ver uint32
-	buf []byte
-}
-
-// detailSlab is the published set of per-story detail slots. The slab
-// is replaced (grown) only at publication; the slots themselves are
-// filled lock-free by read handlers on cache miss.
-type detailSlab struct {
-	slots []*atomic.Pointer[detailEntry]
-}
-
-// snapshotStore owns the published view and the encoding caches.
+// snapshotStore owns the published view and the rebuild scratch.
 type snapshotStore struct {
-	mu      sync.Mutex // serializes rebuilds
-	view    atomic.Pointer[ReadView]
-	details atomic.Pointer[detailSlab]
-	sums    []cachedSummary
+	mu   sync.Mutex // serializes rebuilds
+	view atomic.Pointer[ReadView]
+	// changed and ups are rebuild scratch, reused under mu.
+	changed []digg.StoryID
+	ups     []vecUpdate
 	// onPublish, when non-nil (tests), observes every published view
 	// while the rebuild lock is held.
 	onPublish func(*ReadView)
@@ -118,20 +222,22 @@ func newSnapshotStore() *snapshotStore { return &snapshotStore{} }
 // republish rebuilds and atomically publishes the read view if the
 // platform generation moved since the last publication. It is called
 // by every write path (HTTP submit/digg handlers, the live service's
-// after-step hook) and by Handler before serving; readers never call
-// it, so they never block behind a rebuild.
+// after-step hook, the follower's after-apply hook) and by Handler
+// before serving; readers never call it, so they never block behind a
+// rebuild.
 func (s *Server) republish() {
 	st := s.snap
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s.mu.RLock()
 	gen := s.store.Generation()
-	if cur := st.view.Load(); cur != nil && cur.Gen == gen {
+	prev := st.view.Load()
+	if prev != nil && prev.Gen == gen {
 		s.mu.RUnlock()
 		return
 	}
 	buildStart := time.Now()
-	view := st.build(s.store, gen)
+	view := st.build(s.store, gen, prev)
 	histSnapshotRebuild.Observe(time.Since(buildStart))
 	s.mu.RUnlock()
 	st.view.Store(view)
@@ -141,126 +247,112 @@ func (s *Server) republish() {
 	}
 }
 
-// build assembles a view. The caller holds the store mutex (so the
-// summary cache is private) and the platform read lock (so the
-// platform is quiescent).
-func (st *snapshotStore) build(p digg.Store, gen uint64) *ReadView {
+// build derives the view at gen from prev (nil before the first
+// publication). The caller holds the store mutex (so the scratch is
+// private) and the store read lock (so the store is quiescent).
+func (st *snapshotStore) build(p digg.Store, gen uint64, prev *ReadView) *ReadView {
 	stories := p.Stories()
-	n := len(stories)
-
-	// Refresh the summary cache: re-encode only changed stories.
-	if cap(st.sums) < n {
-		grown := make([]cachedSummary, n, n+n/2+16)
-		copy(grown, st.sums)
-		st.sums = grown
+	base, ups := st.updates(p, prev, stories)
+	if len(ups) > 0 {
+		ctrStoriesEncoded.Add(uint64(len(ups)))
 	}
-	st.sums = st.sums[:n]
-	encoded := 0
-	for i, s := range stories {
-		ver := p.StoryVersion(s.ID)
-		if st.sums[i].ver != ver || st.sums[i].buf == nil {
-			buf := make([]byte, 0, 96+len(s.Title))
-			st.sums[i] = cachedSummary{ver: ver, buf: appendSummary(buf, s)}
-			encoded++
-		}
-	}
-	if encoded > 0 {
-		ctrStoriesEncoded.Add(uint64(encoded))
-	}
-
-	v := &ReadView{
-		Gen:       gen,
-		summaries: make([][]byte, n),
-		storyVer:  make([]uint32, n),
-	}
+	v := &ReadView{Gen: gen, stories: base.with(len(stories), ups)}
+	clear(ups) // drop the scratch's entry references
 	if sh, ok := p.(digg.Sharded); ok {
 		v.ShardGens = sh.ShardGenerations(nil)
-	}
-	for i := range st.sums {
-		v.summaries[i] = st.sums[i].buf
-		v.storyVer[i] = st.sums[i].ver
 	}
 
 	// Front page: promoted stories, newest promotion first.
 	v.fpTotal = p.PromotedCount()
-	front := p.FrontPage(maxRenderQueue)
-	v.fpBuf, v.fpEnds = buildQueue(v.summaries, front, nil)
+	v.front = v.entries(p.FrontPage(maxRenderQueue))
 
 	// Upcoming queue: unpromoted stories, newest first, including
-	// future-dated submissions — the handler filters by the clock at
+	// future-dated submissions — the handlers filter by the clock at
 	// serve time.
-	v.upTotal = n - v.fpTotal
-	upcoming := p.Upcoming(digg.Minutes(1<<62), maxRenderQueue)
-	v.upBuf, _ = buildQueue(v.summaries, upcoming, &v.upEntries)
+	v.upTotal = len(stories) - v.fpTotal
+	v.upcoming = v.entries(p.Upcoming(digg.Minutes(1<<62), maxRenderQueue))
 
 	// Reputation: ranked ids pre-rendered, rank map shared for
-	// lock-free /api/users lookups.
+	// lock-free user lookups. The store replaces its rank map whenever
+	// the ranking changes, so an identical map means an identical
+	// ranking and the previous rendering still holds.
 	v.ranks = p.Ranks()
-	v.topTotal = len(v.ranks)
-	top := p.TopUsers(maxRenderTop)
-	v.topBuf = append(v.topBuf, '[')
-	v.topEnds = make([]int, len(top))
-	for i, u := range top {
-		if i > 0 {
-			v.topBuf = append(v.topBuf, ',')
+	if prev != nil && reflect.ValueOf(prev.ranks).UnsafePointer() == reflect.ValueOf(v.ranks).UnsafePointer() {
+		v.topBuf, v.topEnds, v.topTotal = prev.topBuf, prev.topEnds, prev.topTotal
+	} else {
+		v.topTotal = len(v.ranks)
+		top := p.TopUsers(maxRenderTop)
+		v.topBuf = append(v.topBuf, '[')
+		v.topEnds = make([]int, len(top))
+		for i, u := range top {
+			if i > 0 {
+				v.topBuf = append(v.topBuf, ',')
+			}
+			v.topBuf = strconv.AppendInt(v.topBuf, int64(u), 10)
+			v.topEnds[i] = len(v.topBuf)
 		}
-		v.topBuf = strconv.AppendInt(v.topBuf, int64(u), 10)
-		v.topEnds[i] = len(v.topBuf)
+		v.topBuf = append(v.topBuf, ']')
 	}
-	v.topBuf = append(v.topBuf, ']')
 
 	v.etagStr = `"g` + strconv.FormatUint(gen, 10) + `"`
 	v.etag = []string{v.etagStr}
-
-	// Grow the detail slab to cover new stories. Existing slots (and
-	// their cached encodings) carry over untouched.
-	old := st.details.Load()
-	if old == nil || len(old.slots) < n {
-		slots := make([]*atomic.Pointer[detailEntry], n)
-		if old != nil {
-			copy(slots, old.slots)
-		}
-		for i := range slots {
-			if slots[i] == nil {
-				slots[i] = new(atomic.Pointer[detailEntry])
-			}
-		}
-		st.details.Store(&detailSlab{slots: slots})
-	}
 	return v
 }
 
-// buildQueue concatenates the pre-encoded summaries of the given
-// stories into one JSON array buffer. With ends it records the offset
-// past each entry (front page: constant-time limit cuts); with
-// entries it records per-entry bounds plus submission times (upcoming:
-// serve-time visibility filtering).
-func buildQueue(summaries [][]byte, stories []*digg.Story, entries *[]queueEntry) (buf []byte, ends []int) {
-	size := 2
-	for _, s := range stories {
-		size += len(summaries[s.ID]) + 1
+// updates returns the vector to derive the new view's entries from
+// and the entries to replace in it, sorted by index: re-encoded
+// summaries of the stories the store reports changed since prev, plus
+// every story prev does not cover yet. Without a usable change log
+// (first publication, or a gap) base is empty and every story is
+// encoded.
+func (st *snapshotStore) updates(p digg.Store, prev *ReadView, stories []*digg.Story) (base storyVec, ups []vecUpdate) {
+	ups = st.ups[:0]
+	if prev != nil && len(stories) >= prev.stories.n {
+		ids, ok := p.ChangedSince(prev.Gen, st.changed[:0])
+		st.changed = ids
+		if ok {
+			base = prev.stories
+			slices.Sort(ids)
+			for _, id := range slices.Compact(ids) {
+				if int(id) >= base.n {
+					break // new stories are encoded below; later ones are not served yet
+				}
+				if ver := p.StoryVersion(id); ver != base.get(int(id)).ver {
+					ups = append(ups, vecUpdate{int(id), newEntry(stories[id], ver)})
+				}
+			}
+		}
 	}
-	buf = make([]byte, 0, size)
-	buf = append(buf, '[')
-	if entries == nil {
-		ends = make([]int, len(stories))
-	} else {
-		*entries = make([]queueEntry, len(stories))
+	for i := base.n; i < len(stories); i++ {
+		ups = append(ups, vecUpdate{i, newEntry(stories[i], p.StoryVersion(stories[i].ID))})
 	}
+	// Keep the scratch for the next rebuild, unless a full build grew
+	// it to the corpus size: that would pin a corpus-sized array.
+	if cap(ups) <= 4096 {
+		st.ups = ups
+	}
+	return base, ups
+}
+
+// entries maps stories to their entries in the view.
+func (v *ReadView) entries(stories []*digg.Story) []*sumEntry {
+	out := make([]*sumEntry, len(stories))
 	for i, s := range stories {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		start := len(buf)
-		buf = append(buf, summaries[s.ID]...)
-		if entries == nil {
-			ends[i] = len(buf)
-		} else {
-			(*entries)[i] = queueEntry{start: start, end: len(buf), submittedAt: int64(s.SubmittedAt), id: s.ID}
-		}
+		out[i] = v.stories.get(int(s.ID))
 	}
-	buf = append(buf, ']')
-	return buf, ends
+	return out
+}
+
+// appendEntries appends the entries' summaries as a comma-separated
+// JSON array body (no brackets).
+func appendEntries(b []byte, entries []*sumEntry) []byte {
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e.buf...)
+	}
+	return b
 }
 
 // Shared header values and byte fragments, assigned directly into the
@@ -271,9 +363,7 @@ var (
 	// with If-None-Match on every reuse: a scraper's repeated crawls
 	// of an unchanged page cost a 304, not a re-download.
 	headerRevalidate = []string{"no-cache"}
-	bracketOpen      = []byte{'['}
 	bracketClose     = []byte{']'}
-	commaSep         = []byte{','}
 	emptyArray       = []byte("[]")
 )
 

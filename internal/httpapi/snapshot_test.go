@@ -293,15 +293,16 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 
 	// Record every published front-page rendering by generation, before
 	// serving starts.
-	type published struct {
-		buf  []byte
-		ends []int
-	}
+	const limit = 10
 	var pubMu sync.Mutex
-	pubs := make(map[uint64]published)
+	pubs := make(map[uint64]string)
 	srv.snap.onPublish = func(v *ReadView) {
+		front := v.front
+		if len(front) > limit {
+			front = front[:limit]
+		}
 		pubMu.Lock()
-		pubs[v.Gen] = published{buf: v.fpBuf, ends: v.fpEnds}
+		pubs[v.Gen] = "[" + string(appendEntries(nil, front)) + "]"
 		pubMu.Unlock()
 	}
 
@@ -327,14 +328,6 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 			}
 		}
 	}()
-
-	const limit = 10
-	render := func(p published) string {
-		if len(p.ends) <= limit {
-			return string(p.buf)
-		}
-		return string(p.buf[:p.ends[limit-1]]) + "]"
-	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -372,13 +365,13 @@ func TestSnapshotConsistencyUnderLiveWrites(t *testing.T) {
 				}
 				lastGen = gen
 				pubMu.Lock()
-				pub, ok := pubs[gen]
+				want, ok := pubs[gen]
 				pubMu.Unlock()
 				if !ok {
 					errs <- fmt.Errorf("served generation %d was never published", gen)
 					return
 				}
-				if want := render(pub); string(body) != want {
+				if string(body) != want {
 					errs <- fmt.Errorf("torn read at generation %d:\n got %s\nwant %s", gen, body, want)
 					return
 				}

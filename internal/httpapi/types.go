@@ -33,10 +33,12 @@
 // endpoints (frontpage, upcoming, stories, story detail, topusers,
 // users) serve whole responses by writing cached bytes — no store
 // lock, no intermediate structs, no encoding/json reflection, and zero
-// allocations per request. Publication is incremental: digg.Platform's
-// generation and per-story version counters let a rebuild re-encode
-// only stories that changed, and story details (vote lists) are
-// encoded lazily on first request and cached per (story, version).
+// allocations per request. Publication is incremental: the store's
+// change log (digg.Store.ChangedSince) names the stories a write
+// touched, a rebuild re-encodes only those and shares every other
+// story's summary with the previous view through a persistent vector,
+// and story details (vote lists) are encoded lazily on first request
+// and cached per (story, version).
 // The queue endpoints answer If-None-Match revalidations with 304
 // Not Modified.
 //

@@ -215,7 +215,7 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 		s.v1StoriesLocked(w, pos, limit)
 		return
 	}
-	total := len(view.summaries)
+	total := view.stories.n
 	start := int(min64(pos, int64(total)))
 	end := start + limit
 	if end > total {
@@ -225,7 +225,7 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 	if end < total {
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorStories, Gen: view.Gen,
-			Pos: int64(end), Ver: uint64(view.storyVer[end-1]),
+			Pos: int64(end), Ver: uint64(view.stories.get(end - 1).ver),
 			ShardGens: view.ShardGens,
 		}.Encode()
 	}
@@ -235,7 +235,7 @@ func (s *Server) handleV1Stories(w http.ResponseWriter, r *http.Request) {
 		if i > start {
 			b = append(b, ',')
 		}
-		b = append(b, view.summaries[i]...)
+		b = append(b, view.stories.get(i).buf...)
 	}
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
@@ -314,7 +314,7 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 	}
 	// Entry index inside the view's newest-first rendering.
 	i0 := total - 1 - int(pos)
-	if i0+n > len(view.fpEnds) {
+	if i0+n > len(view.front) {
 		s.v1FrontPageLocked(w, pos, limit)
 		return
 	}
@@ -338,12 +338,7 @@ func (s *Server) handleV1FrontPage(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"stories":[`...)
-	for i := i0; i < i0+n; i++ {
-		if i > i0 {
-			b = append(b, ',')
-		}
-		b = append(b, view.fpBuf[segStart(view.fpEnds, i):view.fpEnds[i]]...)
-	}
+	b = appendEntries(b, view.front[i0:i0+n])
 	b = appendPageTail(b, total, next)
 	writeRaw(w, b)
 	*bp = b[:0]
@@ -423,7 +418,7 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 		s.v1UpcomingLocked(w, now, pos, limit)
 		return
 	}
-	entries := view.upEntries
+	entries := view.upcoming
 	// Collect up to limit+1 matching entries: the probe entry decides
 	// whether a next cursor is due without a second scan.
 	idx := make([]int, 0, limit+1)
@@ -467,7 +462,7 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 		last := entries[idx[n-1]]
 		next = apiv1.CursorPayload{
 			Kind: apiv1.CursorUpcoming, Gen: view.Gen,
-			Pos: int64(last.id), Ver: uint64(view.storyVer[last.id]),
+			Pos: int64(last.id), Ver: uint64(last.ver),
 			ShardGens: view.ShardGens,
 		}.Encode()
 	}
@@ -477,8 +472,7 @@ func (s *Server) handleV1Upcoming(w http.ResponseWriter, r *http.Request) {
 		if k > 0 {
 			b = append(b, ',')
 		}
-		e := entries[idx[k]]
-		b = append(b, view.upBuf[e.start:e.end]...)
+		b = append(b, entries[idx[k]].buf...)
 	}
 	b = appendPageTail(b, view.upTotal, next)
 	writeRaw(w, b)

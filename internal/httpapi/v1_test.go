@@ -92,6 +92,47 @@ func TestV1EndpointsEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != apiv1.CodeInvalidArgument {
 		t.Errorf("overflow limit: status=%d envelope=%+v", resp.StatusCode, env.Error)
 	}
+	// Path IDs past int32 must be rejected, not truncated onto another
+	// story or user (2^32 wrapped to 0; 2^31 to a negative index).
+	before, err := c.Story(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/stories/4294967296"},
+		{http.MethodGet, "/v1/stories/2147483648"},
+		{http.MethodGet, "/v1/users/4294967296"},
+		{http.MethodGet, "/v1/users/2147483648/fans"},
+		{http.MethodPost, "/v1/stories/4294967296/digg"},
+	} {
+		hr, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(`{"voter":3}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatalf("%s %s: %v", req.method, req.path, err)
+		}
+		env = apiv1.ErrorEnvelope{}
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != apiv1.CodeInvalidArgument {
+			t.Errorf("%s %s: status=%d envelope=%+v", req.method, req.path, resp.StatusCode, env.Error)
+		}
+	}
+	for _, path := range []string{"/api/stories/4294967296", "/api/stories/2147483648", "/api/users/4294967296"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status=%d, want 400", path, resp.StatusCode)
+		}
+	}
+	if after, err := c.Story(ctx, 0); err != nil || len(after.VoteList) != len(before.VoteList) {
+		t.Errorf("story 0 changed by an out-of-range digg: %d votes, was %d (%v)", len(after.VoteList), len(before.VoteList), err)
+	}
 
 	// Queues, users, links, topusers.
 	up, err := c.Upcoming(ctx, 10)

@@ -75,6 +75,18 @@ type Store struct {
 	rankCache           map[digg.UserID]int
 	rankedCache         []digg.UserID
 
+	// changes is the composite change log, stamped with composite
+	// generations. ChangedSince folds each shard platform's own log
+	// into it on demand — harvested holds the shard generation each
+	// shard was last folded at — so serial, bulk and replicated writes
+	// all surface without a hook on every write path. chMu serializes
+	// the fold, since ChangedSince is a query and queries may run
+	// concurrently.
+	chMu      sync.Mutex
+	changes   digg.ChangeLog
+	harvested []uint64
+	fold      []digg.StoryID // fold scratch
+
 	// stats holds per-shard write/replay counters for /metrics. The
 	// write counters are atomics because DiggMany/SubmitMany increment
 	// them from per-shard goroutines.
@@ -136,6 +148,7 @@ func New(g *graph.Graph, policy digg.PromotionPolicy, n int) *Store {
 		stats:               make([]shardCounters, n),
 		applyHist:           make([]*obs.Histogram, n),
 		replSeen:            make([]int, n),
+		harvested:           make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.applyHist[i] = obs.Default.Histogram("diggsim_shard_apply_seconds",
@@ -235,6 +248,32 @@ func (s *Store) StoryVersion(id digg.StoryID) uint32 {
 		return 0
 	}
 	return s.shards[s.shardOf(id)].StoryVersion(id)
+}
+
+// ChangedSince reports the stories changed after composite generation
+// gen. It first folds what each shard recorded since the previous call
+// into the composite log, stamped with the current composite
+// generation: a stamp is never earlier than the change it covers, so
+// no change after gen is missed (an earlier change may be reported
+// again, which callers tolerate). A gap in any shard's log resets the
+// composite log, and queries older than the reset report false.
+func (s *Store) ChangedSince(gen uint64, dst []digg.StoryID) ([]digg.StoryID, bool) {
+	s.chMu.Lock()
+	defer s.chMu.Unlock()
+	now := s.Generation()
+	for i, p := range s.plats {
+		ids, ok := p.ChangedSince(s.harvested[i], s.fold[:0])
+		s.fold = ids
+		s.harvested[i] = p.Generation()
+		if !ok {
+			s.changes.Reset(now)
+			continue
+		}
+		for _, id := range ids {
+			s.changes.Record(now, id)
+		}
+	}
+	return s.changes.Since(gen, dst)
 }
 
 // Story returns the story with the given global ID.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"diggsim/internal/digg"
@@ -293,5 +294,36 @@ func TestStoryRouting(t *testing.T) {
 	}
 	if v := s.StoryVersion(5); v == 0 {
 		t.Fatal("story 5 has no version")
+	}
+}
+
+// TestChangedSinceMergesShards checks the composite change log: votes
+// applied by the concurrent bulk path on both shards surface under the
+// composite generation they happened after, and a second query from
+// the same generation sees the same stories.
+func TestChangedSinceMergesShards(t *testing.T) {
+	s := New(testGraph(t), testPolicy(), 2)
+	for i := 0; i < 6; i++ {
+		if _, err := s.Submit(digg.UserID(i), "story", 0.5, digg.Minutes(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids, ok := s.ChangedSince(0, nil); !ok || len(ids) != 6 {
+		t.Fatalf("ChangedSince(0) = %v, %v", ids, ok)
+	}
+	mark := s.Generation()
+	ops := []digg.DiggOp{{Story: 1, User: 50, At: 10}, {Story: 4, User: 51, At: 10}, {Story: 1, User: 52, At: 11}}
+	if err := s.DiggMany(ops, make([]digg.DiggOutcome, len(ops))); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		ids, ok := s.ChangedSince(mark, nil)
+		slices.Sort(ids)
+		if !ok || !reflect.DeepEqual(slices.Compact(ids), []digg.StoryID{1, 4}) {
+			t.Fatalf("pass %d: ChangedSince(mark) = %v, %v", pass, ids, ok)
+		}
+	}
+	if ids, ok := s.ChangedSince(s.Generation(), nil); !ok || len(ids) != 0 {
+		t.Fatalf("ChangedSince(now) = %v, %v", ids, ok)
 	}
 }
