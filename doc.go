@@ -10,7 +10,7 @@
 // between pending Friends-interface exposures (a minute-bucketed timing
 // wheel) and interest-based discovery votes (sampled exponential
 // inter-arrival gaps, thinned against the decaying novelty rate), with
-// per-story voter and audience sets held in epoch-stamped dense buffers
+// per-story voter and audience sets held in one-bit-per-user bitsets
 // reused across stories. Stories are statistically independent given
 // the graph, so internal/dataset fans them out across a worker pool;
 // each story draws from a random substream keyed by (Seed, story

@@ -36,7 +36,7 @@
 // thinned process against the decaying novelty envelope after
 // promotion. Both match the arrival intensity of the per-minute
 // Poisson model they replace. Per-story voter and audience sets are
-// epoch-stamped dense buffers reused across stories (see engine.go),
+// one-bit-per-user bitsets reused across stories (see engine.go),
 // so simulating a story allocates no per-story maps.
 //
 // Two front-ends share the engine: Simulator drives a digg.Platform

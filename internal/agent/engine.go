@@ -13,10 +13,10 @@ package agent
 //     rate, so the arrival intensity matches the per-minute Poisson
 //     model it replaces).
 //
-// Per-story voter and audience membership live in epoch-stamped dense
-// sets (internal/dense) reused across stories: beginStory bumps the
-// epoch instead of clearing or reallocating, so simulating a story
-// performs no per-story map work at all.
+// Per-story voter and audience membership live in bitsets
+// (internal/dense, one bit per user) reused across stories: beginStory
+// clears their words in place instead of reallocating, so simulating a
+// story performs no per-story map work at all.
 
 import (
 	"errors"
@@ -45,8 +45,8 @@ type engine struct {
 	g   *graph.Graph
 	rng *rng.RNG
 
-	// Epoch-stamped membership sets over UserIDs; beginStory empties
-	// both in O(1), so stories allocate no per-story membership state.
+	// Bitset membership sets over UserIDs; beginStory clears both in
+	// place, so stories allocate no per-story membership state.
 	voted dense.Set
 	aud   dense.Set
 

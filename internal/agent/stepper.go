@@ -31,7 +31,7 @@ type Stepper struct {
 	rng      *rng.RNG
 	runs     []*stepRun
 	// free pools retired engines for reuse: a live engine's scratch is
-	// O(users + horizon) (dense sets, timing wheel), so at a steady
+	// O(users/64 + horizon) words (bitsets, timing wheel), so at a steady
 	// submission rate pooling removes per-story allocation churn the
 	// same way the corpus path reuses one engine per worker. The RNG
 	// stream is NOT pooled — every story splits a fresh stream in

@@ -6,8 +6,8 @@ package dataset
 // from a substream keyed by (seed, story index), so scheduling order
 // cannot leak into the corpus: workers=1 and workers=N produce
 // bit-identical vote histories. Each worker owns one agent.Runner,
-// whose scratch buffers (timing wheel, epoch-stamped voter/audience
-// sets) are reused across all stories the worker simulates.
+// whose scratch buffers (timing wheel, voter/audience bitsets) are
+// reused across all stories the worker simulates.
 
 import (
 	"fmt"

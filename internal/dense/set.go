@@ -1,47 +1,44 @@
-// Package dense provides an epoch-stamped membership set over a fixed
-// integer ID range [0, n).
+// Package dense provides a bitset membership set over a fixed integer
+// ID range [0, n).
 //
-// Membership is a dense []uint32 stamp array: id is a member iff
-// stamp[id] equals the set's current epoch, so Reset empties the set
-// in O(1) by bumping the epoch instead of clearing or reallocating.
-// The simulator resets one set per story across thousands of stories;
-// this is what removes per-story map (and clearing) costs from the
-// corpus generation hot path. A Set is not safe for concurrent use.
+// Membership is one bit per ID, so a set over n IDs costs ⌈n/64⌉ words:
+// the per-story voter and Friends-interface audience sets of thousands
+// of live stories fit in a few MB. A Set is not safe for concurrent use.
 package dense
 
-// Set is an epoch-stamped dense membership set. The zero value is an
-// empty set over an empty range; call Reset to size it.
+// Set is a dense bitset membership set. The zero value is an empty set
+// over an empty range; call Reset to size it.
 type Set struct {
-	stamp []uint32
-	epoch uint32
+	words []uint64
+	n     int
 	count int
 }
 
 // Reset empties the set and (re)sizes it to cover [0, n). Existing
-// capacity is reused: the common case is a pure epoch bump.
+// capacity is reused; only the ⌈n/64⌉ words in range are cleared.
 func (s *Set) Reset(n int) {
-	if len(s.stamp) < n {
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
+	if w := (n + 63) >> 6; cap(s.words) < w {
+		s.words = make([]uint64, w)
+	} else {
+		s.words = s.words[:w]
+		clear(s.words)
 	}
-	s.epoch++
-	if s.epoch == 0 { // stamp wrap: stale stamps could alias, clear once
-		clear(s.stamp)
-		s.epoch = 1
-	}
-	s.count = 0
+	s.n, s.count = n, 0
 }
 
-// Contains reports whether id is a member. IDs outside the range are
+// Contains reports whether id is a member. IDs outside [0, n) are
 // simply non-members.
 func (s *Set) Contains(id int) bool {
-	return id >= 0 && id < len(s.stamp) && s.stamp[id] == s.epoch
+	return uint(id) < uint(s.n) && s.words[id>>6]&(1<<(id&63)) != 0
 }
 
 // Add inserts id. It is idempotent. id must be inside [0, n).
 func (s *Set) Add(id int) {
-	if s.stamp[id] != s.epoch {
-		s.stamp[id] = s.epoch
+	if uint(id) >= uint(s.n) {
+		panic("dense: Add id out of range")
+	}
+	if w, b := &s.words[id>>6], uint64(1)<<(id&63); *w&b == 0 {
+		*w |= b
 		s.count++
 	}
 }

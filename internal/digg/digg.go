@@ -102,11 +102,11 @@ func (s *Story) HasVoted(u UserID) bool {
 // carries its own internal mutex so concurrent read-lock holders may
 // call it).
 //
-// Per-story voter and audience membership is held in pooled
-// epoch-stamped dense sets (internal/dense) rather than per-story
-// maps: CompactStory returns a story's sets to the pool and the next
-// Submit reuses them with an O(1) reset, so sequential generate-and-
-// compact workloads allocate no per-story membership state.
+// Per-story voter and audience membership is held in pooled bitsets
+// (internal/dense, one bit per user) rather than per-story maps: a live
+// story costs 2·⌈users/64⌉ words. CompactStory returns a story's sets
+// to the pool and the next Submit clears and reuses them, so sequential
+// generate-and-compact workloads allocate no per-story membership state.
 type Platform struct {
 	Graph  *graph.Graph
 	Policy PromotionPolicy

@@ -11,7 +11,7 @@ import (
 // buildTestPlatform assembles a platform exercising every piece of
 // persisted state: live stories, a compacted story, promotions,
 // comments, and rejected commands along the way.
-func buildTestPlatform(t *testing.T) *Platform {
+func buildTestPlatform(t testing.TB) *Platform {
 	t.Helper()
 	g, err := graph.PreferentialAttachment(rng.New(7), 300, 3, 0.3)
 	if err != nil {

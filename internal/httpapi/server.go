@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"diggsim/internal/apiv1"
 	"diggsim/internal/digg"
 	"diggsim/internal/graph"
 	"diggsim/internal/live"
@@ -243,6 +244,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxWriteBody caps the request body of every write endpoint: room for
+// a full apiv1.MaxBatch request at up to 1 KiB per item. Bodies are
+// decoded before the batch size is checked, so without the cap one
+// request could make the server allocate in proportion to what it sent.
+const maxWriteBody = apiv1.MaxBatch << 10
+
+// decodeWriteBody decodes a write request's JSON body into v, reading
+// at most maxWriteBody bytes; a longer body fails like invalid JSON.
+func decodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWriteBody)).Decode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -571,7 +584,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
@@ -617,7 +630,7 @@ func (s *Server) handleDigg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiggRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}

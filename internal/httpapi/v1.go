@@ -17,7 +17,6 @@ package httpapi
 // one RLock, so no page ever mixes two generations.
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -700,7 +699,7 @@ func (s *Server) handleV1Submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
@@ -722,7 +721,7 @@ func (s *Server) handleV1Digg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiggRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
 		return
 	}
@@ -747,7 +746,7 @@ func (s *Server) handleV1BatchDigg(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	decodeSpan := obs.SpanFrom(ctx, "decode")
 	var req apiv1.BatchDiggRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := decodeWriteBody(w, r, &req)
 	decodeSpan.End()
 	if err != nil {
 		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))
@@ -835,7 +834,7 @@ func (s *Server) handleV1BatchSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	decodeSpan := obs.SpanFrom(ctx, "decode")
 	var req apiv1.BatchSubmitRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := decodeWriteBody(w, r, &req)
 	decodeSpan.End()
 	if err != nil {
 		writeV1Error(w, v1Err(http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid JSON: "+err.Error()))

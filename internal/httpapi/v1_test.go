@@ -530,6 +530,62 @@ func TestV1BatchWrites(t *testing.T) {
 	}
 }
 
+// TestV1WriteBodyCapped checks every write endpoint reads at most
+// maxWriteBody bytes: a larger body is answered 400 (invalid_argument
+// on /v1) before it is decoded whole, while a full apiv1.MaxBatch
+// request still fits.
+func TestV1WriteBodyCapped(t *testing.T) {
+	_, ts, c := newTestServer(t)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, SubmitRequest{Submitter: 0, Title: "t", Interest: 0.5, At: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each body would be a valid write but for its padding, which the
+	// decoder would otherwise skip as an unknown field.
+	pad := `{"pad":"` + strings.Repeat("x", maxWriteBody) + `",`
+	diggPath := fmt.Sprintf("/stories/%d/digg", st.ID)
+	for path, rest := range map[string]string{
+		"/v1/stories":       `"submitter":1,"title":"p","interest":0.5}`,
+		"/v1" + diggPath:    `"voter":1}`,
+		"/v1/stories:batch": `"stories":[{"submitter":1,"title":"p","interest":0.5}]}`,
+		"/v1/diggs:batch":   fmt.Sprintf(`"diggs":[{"story":%d,"voter":2}]}`, st.ID),
+		"/api/stories":      `"submitter":1,"title":"p","interest":0.5}`,
+		"/api" + diggPath:   `"voter":3}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(pad+rest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error json.RawMessage `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with a %d B body: status %d, want 400", path, len(pad+rest), resp.StatusCode)
+		}
+		if strings.HasPrefix(path, "/v1/") {
+			var e apiv1.Error
+			if err := json.Unmarshal(body.Error, &e); err != nil || e.Code != apiv1.CodeInvalidArgument {
+				t.Errorf("POST %s oversize error = %s, want code %s", path, body.Error, apiv1.CodeInvalidArgument)
+			}
+		}
+	}
+
+	full := apiv1.BatchDiggRequest{Diggs: make([]apiv1.BatchDiggItem, apiv1.MaxBatch)}
+	for i := range full.Diggs {
+		full.Diggs[i] = apiv1.BatchDiggItem{Story: st.ID, Voter: digg.UserID(i % 10), At: 1 << 40}
+	}
+	res, err := c.DiggBatch(ctx, full)
+	if err != nil {
+		t.Fatalf("full MaxBatch digg batch: %v", err)
+	}
+	if len(res.Results) != apiv1.MaxBatch {
+		t.Fatalf("full batch returned %d results", len(res.Results))
+	}
+}
+
 // counting304Transport counts 304 revalidations flowing through the
 // client.
 type counting304Transport struct {
