@@ -12,7 +12,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,6 +30,9 @@ import (
 // cursors; the *Pages methods return iterators usable as
 //
 //	for page, err := range client.Stories(ctx, 200) { ... }
+//
+// Results never alias the client's internal buffers, which are pooled
+// across calls: a read allocates about the size of its decoded result.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -256,28 +258,103 @@ func (c *Client) decodeResponse(path string, resp *http.Response, cached etagEnt
 		if out == nil {
 			return nil
 		}
-		if err := json.Unmarshal(cached.body, out); err != nil {
+		if err := decodeJSON(cached.body, out); err != nil {
 			return fmt.Errorf("httpapi: decoding cached response: %w", err)
 		}
 		return nil
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer releaseBody(buf)
+	if n := resp.ContentLength; n > 0 {
+		// One allocation of the announced size (plus the slack
+		// ReadFrom wants before it sees EOF) instead of doubling from
+		// 512 bytes; a warm pooled buffer needs none.
+		buf.Grow(int(min(n, maxResponseBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody)); err != nil {
 		return fmt.Errorf("httpapi: reading response: %w", err)
 	}
+	// data belongs to the pool: nothing below may keep it past return.
+	data := buf.Bytes()
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return errorFromBody(resp, data)
 	}
 	if etag := resp.Header.Get("ETag"); etag != "" && out != nil {
-		c.storeETag(path, etag, data)
+		c.storeETag(path, etag, bytes.Clone(data))
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decodeJSON(data, out); err != nil {
 		return fmt.Errorf("httpapi: decoding response: %w", err)
 	}
 	return nil
+}
+
+const (
+	// maxResponseBody bounds how much of one response the client reads.
+	maxResponseBody = 64 << 20
+	// maxPooledBody is the largest read buffer bodyPool keeps, so one
+	// rare huge response does not pin its buffer for the process's life.
+	maxPooledBody = 1 << 20
+)
+
+// bodyPool recycles response read buffers across calls and clients.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
+}
+
+// The shortest encoding of one element of each pre-sized result list,
+// as encoding/json renders it (pinned by a test). A batch submit
+// result always carries its story or its error.
+const (
+	minVoteRecordLen   = len(`{"voter":0,"at":0}`)
+	minStorySummaryLen = len(`{"id":0,"title":"","submitter":0,"submitted_at":0,"promoted":false,"votes":0}`)
+	minDiggResultLen   = len(`{"in_network":false,"promoted":false,"votes":0}`)
+	minSubmitResultLen = len(`{"error":{"code":"","message":""}}`)
+)
+
+// decodeJSON unmarshals data into out. For the responses that carry a
+// list it first gives the list the capacity the body can fill, so
+// encoding/json appends in place instead of growing the slice by
+// doubling. The result is exactly what json.Unmarshal gives.
+func decodeJSON(data []byte, out any) error {
+	switch v := out.(type) {
+	case *StoryDetail:
+		return decodeList(data, out, &v.VoteList, minVoteRecordLen)
+	case *apiv1.StoriesPage:
+		return decodeList(data, out, &v.Stories, minStorySummaryLen)
+	case *apiv1.BatchDiggResponse:
+		return decodeList(data, out, &v.Results, minDiggResultLen)
+	case *apiv1.BatchSubmitResponse:
+		return decodeList(data, out, &v.Results, minSubmitResultLen)
+	}
+	return json.Unmarshal(data, out)
+}
+
+// decodeList unmarshals data into out after reserving capacity in
+// out's list field. Every element is a JSON object, so the '{' bytes
+// other than the enclosing object's bound the element count from
+// above. The bound is clamped to what the body could hold at minLen
+// bytes per element: a title full of '{' cannot make the client
+// reserve more than the server sent.
+func decodeList[T any](data []byte, out any, list *[]T, minLen int) error {
+	if n := min(bytes.Count(data, []byte{'{'})-1, len(data)/minLen); n > 0 {
+		*list = make([]T, 0, n)
+	}
+	err := json.Unmarshal(data, out)
+	if len(*list) == 0 && cap(*list) > 0 {
+		// An absent field leaves the reserved slice in place, where
+		// json.Unmarshal would leave nil; "[]" and null replace it.
+		*list = nil
+	}
+	return err
 }
 
 // errorFromBody builds the typed error from a non-2xx body: the v1
@@ -637,6 +714,9 @@ type terminalStreamError struct{ err error }
 
 func (e *terminalStreamError) Error() string { return e.err.Error() }
 
+// sseData prefixes an SSE data line.
+var sseData = []byte("data:")
+
 // streamOnce runs one SSE connection: open, read frames, dispatch.
 // It reports whether any event was delivered this attempt, and wraps
 // non-retryable failures in terminalStreamError.
@@ -676,11 +756,11 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, fn func(live.E
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var data []byte
 	for scanner.Scan() {
-		line := scanner.Text()
+		line := scanner.Bytes()
 		switch {
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
-		case line == "" && len(data) > 0:
+		case bytes.HasPrefix(line, sseData):
+			data = append(data, bytes.TrimSpace(line[len(sseData):])...)
+		case len(line) == 0 && len(data) > 0:
 			var ev live.Event
 			if err := json.Unmarshal(data, &ev); err != nil {
 				return progressed, &terminalStreamError{fmt.Errorf("httpapi: decoding stream event: %w", err)}
